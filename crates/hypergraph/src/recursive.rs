@@ -90,20 +90,10 @@ fn multilevel_bisect(hg: &Hypergraph, frac: f64, config: &PartitionConfig, seed:
 
     // Coarsening phase.
     let mut levels: Vec<CoarseLevel> = Vec::new();
-    let mut current = hg;
-    let mut owned: Vec<Hypergraph> = Vec::new();
-    while let Some(lvl) = coarsen_once(current, config, &mut rng) {
+    while let Some(lvl) = coarsen_once(levels.last().map_or(hg, |l| &l.hg), config, &mut rng) {
         levels.push(lvl);
-        // azul-lint: allow(unwrap-in-pipeline) both vectors were pushed to just above
-        owned.push(levels.last().unwrap().hg.clone());
-        current = owned.last().unwrap();
     }
-    let coarsest: &Hypergraph = if owned.is_empty() {
-        hg
-    } else {
-        // azul-lint: allow(unwrap-in-pipeline) non-empty checked by the branch
-        owned.last().unwrap()
-    };
+    let coarsest = levels.last().map_or(hg, |l| &l.hg);
 
     // Initial partitioning at the coarsest level: several tries, keep best
     // after a quick refinement.
@@ -122,7 +112,7 @@ fn multilevel_bisect(hg: &Hypergraph, frac: f64, config: &PartitionConfig, seed:
 
     // Uncoarsening with FM at each level.
     for i in (0..levels.len()).rev() {
-        let fine: &Hypergraph = if i == 0 { hg } else { &owned[i - 1] };
+        let fine = if i == 0 { hg } else { &levels[i - 1].hg };
         let coarse_of = &levels[i].coarse_of;
         let mut fine_side = vec![0u8; fine.num_vertices()];
         for v in 0..fine.num_vertices() {
