@@ -29,7 +29,13 @@
 //!   `SimConfig::check_invariants`;
 //! * [`pcg`] — the end-to-end PCG driver (Listing 1 on the accelerator)
 //!   producing per-kernel cycle, operation, traffic and energy-activity
-//!   breakdowns;
+//!   breakdowns; [`bicgstab`] and [`gmres`] run the other Krylov methods
+//!   through the same kernels;
+//! * `driver` (crate-private) — the iteration state machine those three
+//!   frontends share: timed-kernel accounting, cancellation, checkpoints
+//!   and rollback, the NaN/divergence/breakdown guards, the ABFT ladder,
+//!   the residual audits, stagnation and cycle-budget checks, and the
+//!   convergence telemetry;
 //! * [`telemetry`] — conversion of [`stats::KernelStats`] (including the
 //!   per-PE/per-link detail collected under
 //!   `SimConfig::detailed_stats`) into `azul-telemetry` reports;
@@ -61,6 +67,7 @@
 pub mod bicgstab;
 pub mod cancel;
 pub mod config;
+mod driver;
 pub mod faults;
 pub mod gmres;
 pub mod invariants;
