@@ -1,7 +1,8 @@
 //! Detection-coverage campaign for the numerical-integrity subsystem:
 //! seeded single-bit SRAM flips swept across (tile × accumulator slot ×
-//! bit position), each injected mid-solve into a cycle-timed PCG run
-//! with [`IntegrityPolicy::audit`] armed.
+//! bit position), each injected mid-solve into a cycle-timed run of each
+//! simulated solver (PCG, BiCGStab, GMRES) with
+//! [`IntegrityPolicy::audit`] armed.
 //!
 //! Every run is classified into exactly one bucket:
 //!
@@ -21,19 +22,27 @@
 //!   asserts the count is zero and exits nonzero otherwise.
 //!
 //! Emits `BENCH_integrity.json`: one telemetry document per sweep point
-//! (scenario = tile/slot/bit/at_cycle/outcome, plus the fault journal
-//! and the schema-v7 `integrity` section) and a trailing `summary`
-//! document carrying the four bucket counters.
+//! (scenario = solver/tile/slot/bit/at_cycle/outcome, plus the fault
+//! journal and the schema-v7 `integrity` section) and a trailing
+//! `summary` document carrying the four bucket counters, overall and
+//! per solver (`pcg_escaped`, `gmres_recovered`, ...).
 //!
-//! `AZUL_INTEGRITY_FAST=1` shrinks the sweep to a 3-point subset for CI
-//! smoke jobs; the full sweep is 4 tiles × 2 slots × 6 bits = 48 runs.
+//! `AZUL_INTEGRITY_FAST=1` shrinks the sweep to a 3-point subset per
+//! solver for CI smoke jobs; the full sweep is 4 tiles × 2 slots × 6
+//! bits = 48 runs per solver.
 
 use azul_bench::{header, row, write_bench_artifact};
 use azul_mapping::strategies::{Mapper, RoundRobinMapper};
+use azul_mapping::Placement;
 use azul_mapping::TileGrid;
+use azul_sim::bicgstab::{BiCgStabSim, BiCgStabSimConfig};
 use azul_sim::config::SimConfig;
-use azul_sim::faults::{FaultEvent, FaultKind, FaultPlan, IntegrityPolicy};
-use azul_sim::pcg::{PcgSim, PcgSimConfig, PcgSimReport};
+use azul_sim::faults::{
+    FaultEvent, FaultKind, FaultPlan, FaultRecord, IntegrityAudit, IntegrityPolicy, RecoveryRecord,
+};
+use azul_sim::gmres::{GmresSim, GmresSimConfig};
+use azul_sim::pcg::{PcgSim, PcgSimConfig};
+use azul_sim::stats::KernelStats;
 use azul_sim::telemetry::{describe_config, fill_fault_report, fill_integrity_report, fill_report};
 use azul_sparse::{dense, generate, Csr};
 use azul_telemetry::report::TelemetryReport;
@@ -57,6 +66,91 @@ impl Outcome {
     }
 }
 
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Solver {
+    Pcg,
+    BiCgStab,
+    Gmres,
+}
+
+impl Solver {
+    const ALL: [Solver; 3] = [Solver::Pcg, Solver::BiCgStab, Solver::Gmres];
+
+    fn name(self) -> &'static str {
+        match self {
+            Solver::Pcg => "pcg",
+            Solver::BiCgStab => "bicgstab",
+            Solver::Gmres => "gmres",
+        }
+    }
+}
+
+/// What the campaign reads from a solve report, whichever solver ran.
+struct Run {
+    x: Vec<f64>,
+    converged: bool,
+    iterations: usize,
+    stats: KernelStats,
+    fault_events: Vec<FaultRecord>,
+    recoveries: Vec<RecoveryRecord>,
+    integrity: IntegrityAudit,
+}
+
+macro_rules! run_of {
+    ($report:expr) => {{
+        let r = $report;
+        Run {
+            x: r.x,
+            converged: r.converged,
+            iterations: r.iterations,
+            stats: r.stats,
+            fault_events: r.fault_events,
+            recoveries: r.recoveries,
+            integrity: r.integrity,
+        }
+    }};
+}
+
+/// Solves `a x = b` with `solver` under the campaign's run settings
+/// (GMRES with its default restart length).
+fn solve(
+    solver: Solver,
+    a: &Csr,
+    placement: &Placement,
+    cfg: &SimConfig,
+    b: &[f64],
+    run_cfg: &PcgSimConfig,
+) -> Run {
+    match solver {
+        Solver::Pcg => {
+            let sim = PcgSim::build(a, placement, cfg).expect("pcg build");
+            run_of!(sim.run(b, run_cfg))
+        }
+        Solver::BiCgStab => {
+            let sim = BiCgStabSim::build(a, placement, cfg).expect("bicgstab build");
+            let run_cfg = BiCgStabSimConfig {
+                tol: run_cfg.tol,
+                max_iters: run_cfg.max_iters,
+                timed_iterations: run_cfg.timed_iterations,
+                integrity: run_cfg.integrity,
+                ..Default::default()
+            };
+            run_of!(sim.run(b, &run_cfg))
+        }
+        Solver::Gmres => {
+            let sim = GmresSim::build(a, placement, cfg).expect("gmres build");
+            let run_cfg = GmresSimConfig {
+                tol: run_cfg.tol,
+                max_iters: run_cfg.max_iters,
+                timed_iterations: run_cfg.timed_iterations,
+                integrity: run_cfg.integrity,
+                ..Default::default()
+            };
+            run_of!(sim.run(b, &run_cfg))
+        }
+    }
+}
+
 /// True residual of the returned iterate, independent of every residual
 /// the solver itself maintained.
 fn true_residual(a: &Csr, b: &[f64], x: &[f64]) -> f64 {
@@ -68,7 +162,7 @@ fn true_residual(a: &Csr, b: &[f64], x: &[f64]) -> f64 {
 /// Classifies one faulted run. `escape_tol` carries slack over the
 /// solve tolerance matching the final audit's drift bound, so rounding
 /// on a legitimately converged answer is never miscounted as an escape.
-fn classify(report: &PcgSimReport, true_r: f64, escape_tol: f64) -> Outcome {
+fn classify(report: &Run, true_r: f64, escape_tol: f64) -> Outcome {
     let landed = report.fault_events.iter().any(|f| f.applied);
     let flagged = !report.integrity.violations.is_empty() || !report.recoveries.is_empty();
     let clean = report.converged && true_r <= escape_tol;
@@ -106,15 +200,21 @@ fn main() {
     // anything converged beyond that slack is a genuine wrong answer.
     let escape_tol = run_cfg.integrity.drift_factor * run_cfg.tol;
 
-    // Fault-free baseline fixes the expected answer quality.
+    // Fault-free baselines fix the expected answer quality.
     let clean_cfg = SimConfig::azul(grid);
-    let clean_sim = PcgSim::build(&a, &placement, &clean_cfg).expect("baseline build");
-    let clean = clean_sim.run(&b, &run_cfg);
-    assert!(clean.converged, "fault-free baseline must converge");
-    assert!(
-        clean.integrity.violations.is_empty() && clean.integrity.escapes == 0,
-        "fault-free baseline must audit clean"
-    );
+    for solver in Solver::ALL {
+        let clean = solve(solver, &a, &placement, &clean_cfg, &b, &run_cfg);
+        assert!(
+            clean.converged,
+            "fault-free {} baseline must converge",
+            solver.name()
+        );
+        assert!(
+            clean.integrity.violations.is_empty() && clean.integrity.escapes == 0,
+            "fault-free {} baseline must audit clean",
+            solver.name()
+        );
+    }
 
     // The fast subset replays tile 0 / slot 0 from the full sweep — a
     // slot that is live mid-solve, so high bits exercise the detect +
@@ -142,76 +242,95 @@ fn main() {
     );
 
     let mut reports: Vec<TelemetryReport> = Vec::new();
-    let mut counts = [0u64; 4]; // harmless, recovered, detected, escaped
-    for &tile in tiles {
-        for &slot in slots {
-            for &bit in bits {
-                // Scatter injection cycles deterministically across the
-                // first ~20 iterations (~2300 cycles each) so the sweep
-                // samples the whole live window, not one phase. A pure
-                // function of the sweep point (not of iteration order),
-                // so the fast subset replays exactly the runs the full
-                // sweep would.
-                let key = u64::from(tile) * 31 + u64::from(slot) * 17 + u64::from(bit);
-                let at_cycle = 2_000 + (key * 1_733) % 40_000;
-                let mut cfg = SimConfig::azul(grid);
-                cfg.faults = Some(FaultPlan::new(vec![FaultEvent {
-                    at_cycle,
-                    kind: FaultKind::SramBitFlip { tile, slot, bit },
-                }]));
-                let sim = PcgSim::build(&a, &placement, &cfg).expect("sweep build");
-                let report = sim.run(&b, &run_cfg);
-                let true_r = true_residual(&a, &b, &report.x);
-                let outcome = classify(&report, true_r, escape_tol);
-                counts[match outcome {
-                    Outcome::Harmless => 0,
-                    Outcome::Recovered => 1,
-                    Outcome::Detected => 2,
-                    Outcome::Escaped => 3,
-                }] += 1;
+    // harmless, recovered, detected, escaped — per solver
+    let mut counts = [[0u64; 4]; Solver::ALL.len()];
+    for (si, solver) in Solver::ALL.into_iter().enumerate() {
+        for &tile in tiles {
+            for &slot in slots {
+                for &bit in bits {
+                    // Scatter injection cycles deterministically across
+                    // the first ~20 iterations (~2300 cycles each) so the
+                    // sweep samples the whole live window, not one phase.
+                    // A pure function of the sweep point (not of
+                    // iteration order), so the fast subset replays
+                    // exactly the runs the full sweep would.
+                    let key = u64::from(tile) * 31 + u64::from(slot) * 17 + u64::from(bit);
+                    let at_cycle = 2_000 + (key * 1_733) % 40_000;
+                    let mut cfg = SimConfig::azul(grid);
+                    cfg.faults = Some(FaultPlan::new(vec![FaultEvent {
+                        at_cycle,
+                        kind: FaultKind::SramBitFlip { tile, slot, bit },
+                    }]));
+                    let report = solve(solver, &a, &placement, &cfg, &b, &run_cfg);
+                    let true_r = true_residual(&a, &b, &report.x);
+                    let outcome = classify(&report, true_r, escape_tol);
+                    counts[si][match outcome {
+                        Outcome::Harmless => 0,
+                        Outcome::Recovered => 1,
+                        Outcome::Detected => 2,
+                        Outcome::Escaped => 3,
+                    }] += 1;
 
-                row(
-                    &format!("t{tile} s{slot} b{bit}"),
-                    &[
-                        outcome.name().into(),
-                        format!("{}", report.integrity.violations.len()),
-                        format!("{}", report.recoveries.len()),
-                        format!("{true_r:.2e}"),
-                    ],
-                );
+                    row(
+                        &format!("{} t{tile} s{slot} b{bit}", solver.name()),
+                        &[
+                            outcome.name().into(),
+                            format!("{}", report.integrity.violations.len()),
+                            format!("{}", report.recoveries.len()),
+                            format!("{true_r:.2e}"),
+                        ],
+                    );
 
-                let mut doc = TelemetryReport::default();
-                doc.scenario_field("section", "sweep");
-                doc.scenario_field("tile", u64::from(tile));
-                doc.scenario_field("slot", u64::from(slot));
-                doc.scenario_field("bit", u64::from(bit));
-                doc.scenario_field("at_cycle", at_cycle);
-                doc.scenario_field("outcome", outcome.name());
-                describe_config(&mut doc, &cfg);
-                fill_report(&mut doc, &cfg, &report.stats);
-                fill_fault_report(&mut doc, &report.fault_events, &report.recoveries);
-                fill_integrity_report(&mut doc, &report.integrity);
-                doc.counter("iterations", report.iterations as u64);
-                doc.counter("converged", u64::from(report.converged));
-                reports.push(doc);
+                    let mut doc = TelemetryReport::default();
+                    doc.scenario_field("section", "sweep");
+                    doc.scenario_field("solver", solver.name());
+                    doc.scenario_field("tile", u64::from(tile));
+                    doc.scenario_field("slot", u64::from(slot));
+                    doc.scenario_field("bit", u64::from(bit));
+                    doc.scenario_field("at_cycle", at_cycle);
+                    doc.scenario_field("outcome", outcome.name());
+                    describe_config(&mut doc, &cfg);
+                    fill_report(&mut doc, &cfg, &report.stats);
+                    fill_fault_report(&mut doc, &report.fault_events, &report.recoveries);
+                    fill_integrity_report(&mut doc, &report.integrity);
+                    doc.counter("iterations", report.iterations as u64);
+                    doc.counter("converged", u64::from(report.converged));
+                    reports.push(doc);
+                }
             }
         }
     }
 
-    let total = counts.iter().sum::<u64>();
+    let buckets = ["harmless", "recovered", "detected", "escaped"];
+    let mut totals = [0u64; 4];
     let mut summary = TelemetryReport::default();
     summary.scenario_field("section", "summary");
-    summary.counter("runs", total);
-    summary.counter("harmless", counts[0]);
-    summary.counter("recovered", counts[1]);
-    summary.counter("detected", counts[2]);
-    summary.counter("escaped", counts[3]);
-    reports.push(summary);
-
     println!();
+    for (solver, c) in Solver::ALL.iter().zip(&counts) {
+        for (k, name) in buckets.iter().enumerate() {
+            totals[k] += c[k];
+            summary.counter(&format!("{}_{name}", solver.name()), c[k]);
+        }
+        summary.counter(&format!("{}_runs", solver.name()), c.iter().sum::<u64>());
+        println!(
+            "{} runs {}: harmless {}, recovered {}, detected {}, escaped {}",
+            solver.name(),
+            c.iter().sum::<u64>(),
+            c[0],
+            c[1],
+            c[2],
+            c[3]
+        );
+    }
+    let total = totals.iter().sum::<u64>();
+    summary.counter("runs", total);
+    for (k, name) in buckets.iter().enumerate() {
+        summary.counter(name, totals[k]);
+    }
+    reports.push(summary);
     println!(
         "runs {total}: harmless {}, recovered {}, detected {}, escaped {}",
-        counts[0], counts[1], counts[2], counts[3]
+        totals[0], totals[1], totals[2], totals[3]
     );
 
     match write_bench_artifact("integrity", &reports) {
@@ -223,13 +342,13 @@ fn main() {
     }
 
     assert!(
-        counts[1] + counts[2] > 0,
+        totals[1] + totals[2] > 0,
         "the sweep must exercise the detection ladder at least once"
     );
-    if counts[3] > 0 {
+    if totals[3] > 0 {
         eprintln!(
             "FAIL: {} wrong-answer escape(s) — corrupted solves shipped as converged",
-            counts[3]
+            totals[3]
         );
         std::process::exit(1);
     }
