@@ -10,9 +10,9 @@
 
 use azul_bench::{header, representative, row, run_pcg, BenchCtx};
 use azul_mapping::strategies::{AzulMapper, Mapper};
-use azul_sim::bicgstab::{BiCgStabSim, BiCgStabSimConfig};
 use azul_sim::config::SimConfig;
 use azul_sim::stats::KernelClass;
+use azul_sim::{Method, SimSolver, SimSolverConfig};
 use std::time::Instant;
 
 fn main() {
@@ -83,16 +83,19 @@ fn main() {
     for m in representative(&ctx) {
         let place = ctx.azul_mapper().map(&m.a, ctx.grid);
         let pcg_report = run_pcg(&m, &place, &cfg, &ctx);
-        let bi = BiCgStabSim::build(&m.a, &place, &cfg).expect("IC(0) succeeds");
-        let bi_report = bi.run(
-            &m.b,
-            &BiCgStabSimConfig {
-                tol: 1e-8,
-                max_iters: 500,
-                timed_iterations: 1,
-                ..Default::default()
-            },
-        );
+        let bi = SimSolver::build(&m.a, &place, &cfg).expect("IC(0) succeeds");
+        let bi_report = bi
+            .try_run(
+                &m.b,
+                &SimSolverConfig {
+                    method: Method::BiCgStab,
+                    tol: 1e-8,
+                    max_iters: 500,
+                    timed_iterations: 1,
+                    ..Default::default()
+                },
+            )
+            .expect("simulated solve runs");
         let total: f64 = bi_report.kernel_cycles.iter().sum::<f64>().max(1e-9);
         let tri_pct = bi_report.kernel_cycles[KernelClass::Sptrsv as usize] / total * 100.0;
         row(

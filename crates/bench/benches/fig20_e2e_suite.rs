@@ -26,7 +26,7 @@ struct Result {
     alrescha: f64,
     dalorex: f64,
     azul: f64,
-    azul_report: azul_sim::pcg::PcgSimReport,
+    azul_report: azul_sim::SimSolverReport,
 }
 
 fn main() {

@@ -35,15 +35,10 @@ use azul_bench::{header, row, write_bench_artifact};
 use azul_mapping::strategies::{Mapper, RoundRobinMapper};
 use azul_mapping::Placement;
 use azul_mapping::TileGrid;
-use azul_sim::bicgstab::{BiCgStabSim, BiCgStabSimConfig};
 use azul_sim::config::SimConfig;
-use azul_sim::faults::{
-    FaultEvent, FaultKind, FaultPlan, FaultRecord, IntegrityAudit, IntegrityPolicy, RecoveryRecord,
-};
-use azul_sim::gmres::{GmresSim, GmresSimConfig};
-use azul_sim::pcg::{PcgSim, PcgSimConfig};
-use azul_sim::stats::KernelStats;
+use azul_sim::faults::{FaultEvent, FaultKind, FaultPlan, IntegrityPolicy};
 use azul_sim::telemetry::{describe_config, fill_fault_report, fill_integrity_report, fill_report};
+use azul_sim::{Method, SimSolver, SimSolverConfig, SimSolverReport};
 use azul_sparse::{dense, generate, Csr};
 use azul_telemetry::report::TelemetryReport;
 
@@ -66,89 +61,20 @@ impl Outcome {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Solver {
-    Pcg,
-    BiCgStab,
-    Gmres,
-}
+const SOLVERS: [Method; 3] = [Method::Pcg, Method::BiCgStab, Method::Gmres { restart: 30 }];
 
-impl Solver {
-    const ALL: [Solver; 3] = [Solver::Pcg, Solver::BiCgStab, Solver::Gmres];
-
-    fn name(self) -> &'static str {
-        match self {
-            Solver::Pcg => "pcg",
-            Solver::BiCgStab => "bicgstab",
-            Solver::Gmres => "gmres",
-        }
-    }
-}
-
-/// What the campaign reads from a solve report, whichever solver ran.
-struct Run {
-    x: Vec<f64>,
-    converged: bool,
-    iterations: usize,
-    stats: KernelStats,
-    fault_events: Vec<FaultRecord>,
-    recoveries: Vec<RecoveryRecord>,
-    integrity: IntegrityAudit,
-}
-
-macro_rules! run_of {
-    ($report:expr) => {{
-        let r = $report;
-        Run {
-            x: r.x,
-            converged: r.converged,
-            iterations: r.iterations,
-            stats: r.stats,
-            fault_events: r.fault_events,
-            recoveries: r.recoveries,
-            integrity: r.integrity,
-        }
-    }};
-}
-
-/// Solves `a x = b` with `solver` under the campaign's run settings
-/// (GMRES with its default restart length).
+/// Solves `a x = b` with `method` under the campaign's run settings.
 fn solve(
-    solver: Solver,
+    method: Method,
     a: &Csr,
     placement: &Placement,
     cfg: &SimConfig,
     b: &[f64],
-    run_cfg: &PcgSimConfig,
-) -> Run {
-    match solver {
-        Solver::Pcg => {
-            let sim = PcgSim::build(a, placement, cfg).expect("pcg build");
-            run_of!(sim.run(b, run_cfg))
-        }
-        Solver::BiCgStab => {
-            let sim = BiCgStabSim::build(a, placement, cfg).expect("bicgstab build");
-            let run_cfg = BiCgStabSimConfig {
-                tol: run_cfg.tol,
-                max_iters: run_cfg.max_iters,
-                timed_iterations: run_cfg.timed_iterations,
-                integrity: run_cfg.integrity,
-                ..Default::default()
-            };
-            run_of!(sim.run(b, &run_cfg))
-        }
-        Solver::Gmres => {
-            let sim = GmresSim::build(a, placement, cfg).expect("gmres build");
-            let run_cfg = GmresSimConfig {
-                tol: run_cfg.tol,
-                max_iters: run_cfg.max_iters,
-                timed_iterations: run_cfg.timed_iterations,
-                integrity: run_cfg.integrity,
-                ..Default::default()
-            };
-            run_of!(sim.run(b, &run_cfg))
-        }
-    }
+    run_cfg: &SimSolverConfig,
+) -> SimSolverReport {
+    let sim = SimSolver::build(a, placement, cfg).expect("IC(0) succeeds");
+    let run_cfg = SimSolverConfig { method, ..*run_cfg };
+    sim.try_run(b, &run_cfg).expect("simulated solve runs")
 }
 
 /// True residual of the returned iterate, independent of every residual
@@ -162,7 +88,7 @@ fn true_residual(a: &Csr, b: &[f64], x: &[f64]) -> f64 {
 /// Classifies one faulted run. `escape_tol` carries slack over the
 /// solve tolerance matching the final audit's drift bound, so rounding
 /// on a legitimately converged answer is never miscounted as an escape.
-fn classify(report: &Run, true_r: f64, escape_tol: f64) -> Outcome {
+fn classify(report: &SimSolverReport, true_r: f64, escape_tol: f64) -> Outcome {
     let landed = report.fault_events.iter().any(|f| f.applied);
     let flagged = !report.integrity.violations.is_empty() || !report.recoveries.is_empty();
     let clean = report.converged && true_r <= escape_tol;
@@ -191,7 +117,7 @@ fn main() {
         .map(|i| ((i * 31 % 17) as f64) / 17.0 + 0.25)
         .collect();
 
-    let run_cfg = PcgSimConfig {
+    let run_cfg = SimSolverConfig {
         timed_iterations: 0, // every iteration cycle-timed => every launch checksummed
         integrity: IntegrityPolicy::audit(),
         ..Default::default()
@@ -202,7 +128,7 @@ fn main() {
 
     // Fault-free baselines fix the expected answer quality.
     let clean_cfg = SimConfig::azul(grid);
-    for solver in Solver::ALL {
+    for solver in SOLVERS {
         let clean = solve(solver, &a, &placement, &clean_cfg, &b, &run_cfg);
         assert!(
             clean.converged,
@@ -243,8 +169,8 @@ fn main() {
 
     let mut reports: Vec<TelemetryReport> = Vec::new();
     // harmless, recovered, detected, escaped — per solver
-    let mut counts = [[0u64; 4]; Solver::ALL.len()];
-    for (si, solver) in Solver::ALL.into_iter().enumerate() {
+    let mut counts = [[0u64; 4]; SOLVERS.len()];
+    for (si, solver) in SOLVERS.into_iter().enumerate() {
         for &tile in tiles {
             for &slot in slots {
                 for &bit in bits {
@@ -306,7 +232,7 @@ fn main() {
     let mut summary = TelemetryReport::default();
     summary.scenario_field("section", "summary");
     println!();
-    for (solver, c) in Solver::ALL.iter().zip(&counts) {
+    for (solver, c) in SOLVERS.iter().zip(&counts) {
         for (k, name) in buckets.iter().enumerate() {
             totals[k] += c[k];
             summary.counter(&format!("{}_{name}", solver.name()), c[k]);

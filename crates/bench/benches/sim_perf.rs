@@ -27,8 +27,8 @@ use azul_mapping::strategies::{Mapper, RoundRobinMapper};
 use azul_mapping::{Placement, TileGrid};
 use azul_sim::config::SimConfig;
 use azul_sim::machine::run_kernel;
-use azul_sim::pcg::PcgSim;
 use azul_sim::program::Program;
+use azul_sim::SimSolver;
 use azul_sparse::suite::Scale;
 use azul_sparse::{generate, suite};
 use azul_telemetry::TelemetryReport;
@@ -82,9 +82,11 @@ fn main() {
             let mut cfg = SimConfig::azul(ctx.grid);
             cfg.threads = threads;
             cfg.fast_forward = ff;
-            let sim = PcgSim::build(&m.a, &placement, &cfg).expect("IC(0) succeeds");
+            let sim = SimSolver::build(&m.a, &placement, &cfg).expect("IC(0) succeeds");
             let t0 = Instant::now();
-            let rep = sim.run(&m.b, &ctx.pcg_cfg());
+            let rep = sim
+                .try_run(&m.b, &ctx.pcg_cfg())
+                .expect("simulated solve runs");
             let wall = t0.elapsed().as_secs_f64();
             // Self-check before annotating with host timings: every
             // engine configuration must produce byte-identical

@@ -17,8 +17,8 @@
 use azul_bench::{header, prepare, row, write_bench_artifact, BenchCtx};
 use azul_mapping::strategies::Mapper;
 use azul_sim::config::SimConfig;
-use azul_sim::pcg::PcgSim;
 use azul_sim::profile::{self, Component, ALL};
+use azul_sim::SimSolver;
 use azul_sparse::suite;
 use azul_telemetry::TelemetryReport;
 
@@ -39,11 +39,13 @@ fn main() {
     // Fast-forward on, so its scanning cost shows up as a component
     // instead of hiding inside "other" idle ticks.
     cfg.fast_forward = true;
-    let sim = PcgSim::build(&m.a, &placement, &cfg).expect("IC(0) succeeds on suite matrices");
+    let sim = SimSolver::build(&m.a, &placement, &cfg).expect("IC(0) succeeds on suite matrices");
 
     profile::reset();
     profile::enable();
-    let rep = sim.run(&m.b, &ctx.pcg_cfg());
+    let rep = sim
+        .try_run(&m.b, &ctx.pcg_cfg())
+        .expect("simulated solve runs");
     profile::disable();
     let snap = profile::snapshot();
 

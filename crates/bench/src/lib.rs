@@ -21,7 +21,7 @@
 use azul_mapping::strategies::{AzulMapper, BlockMapper, Mapper, RoundRobinMapper, SparsePMapper};
 use azul_mapping::{Placement, TileGrid};
 use azul_sim::config::SimConfig;
-use azul_sim::pcg::{PcgSim, PcgSimConfig, PcgSimReport};
+use azul_sim::{SimSolver, SimSolverConfig, SimSolverReport};
 use azul_sparse::coloring::{color_and_permute, ColoringStrategy};
 use azul_sparse::suite::{MatrixSpec, Scale};
 use azul_sparse::Csr;
@@ -71,8 +71,8 @@ impl BenchCtx {
 
     /// PCG run configuration for throughput measurements: enough
     /// iterations to reach steady state, no need to converge.
-    pub fn pcg_cfg(&self) -> PcgSimConfig {
-        PcgSimConfig {
+    pub fn pcg_cfg(&self) -> SimSolverConfig {
+        SimSolverConfig {
             tol: 1e-12,
             max_iters: self.timed_iters + 1,
             timed_iterations: self.timed_iters,
@@ -142,15 +142,20 @@ pub fn run_pcg(
     placement: &Placement,
     sim: &SimConfig,
     ctx: &BenchCtx,
-) -> PcgSimReport {
-    let pcg = PcgSim::build(&m.a, placement, sim).expect("IC(0) succeeds on suite matrices");
-    pcg.run(&m.b, &ctx.pcg_cfg())
+) -> SimSolverReport {
+    let pcg = SimSolver::build(&m.a, placement, sim).expect("IC(0) succeeds on suite matrices");
+    pcg.try_run(&m.b, &ctx.pcg_cfg())
+        .expect("simulated solve runs")
 }
 
 /// Converts one bench scenario's PCG results into a telemetry report
 /// (scenario identification, aggregate counters, per-PE/per-link detail
 /// when `cfg.detailed_stats` was on, and the convergence history).
-pub fn telemetry_report(m: &BenchMatrix, cfg: &SimConfig, rep: &PcgSimReport) -> TelemetryReport {
+pub fn telemetry_report(
+    m: &BenchMatrix,
+    cfg: &SimConfig,
+    rep: &SimSolverReport,
+) -> TelemetryReport {
     let mut report = TelemetryReport::default();
     report.scenario_field("matrix", m.name);
     report.scenario_field("n", m.a.rows() as u64);

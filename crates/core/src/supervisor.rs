@@ -34,12 +34,9 @@ use crate::{
 };
 use azul_mapping::strategies::AzulMapper;
 use azul_mapping::TileGrid;
-use azul_sim::bicgstab::{BiCgStabSim, BiCgStabSimConfig};
 use azul_sim::config::{SimConfig, StagnationPolicy};
-use azul_sim::gmres::{GmresSim, GmresSimConfig};
-use azul_sim::pcg::{PcgSim, PcgSimConfig};
 use azul_sim::stats::KernelStats;
-use azul_sim::{IntegrityAudit, SimError};
+use azul_sim::{IntegrityAudit, SimError, SimSolver, SimSolverConfig, SimSolverReport};
 use azul_solver::{BreakdownKind, OperatorChecksum, SolveStatus, SolverError};
 use azul_sparse::Csr;
 use azul_telemetry::report::{EscalationSample, IterationSample, TelemetryReport};
@@ -149,41 +146,9 @@ impl std::fmt::Display for EscalationRecord {
     }
 }
 
-/// A rung of the solver ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverChoice {
-    /// Preconditioned conjugate gradients (the paper's default; needs an
-    /// SPD operator).
-    Pcg,
-    /// BiCGStab: tolerates indefinite/non-symmetric operators at roughly
-    /// twice the per-iteration cost.
-    BiCgStab,
-    /// Restarted GMRES with the given restart length — the most robust
-    /// rung (monotone residual within a restart cycle).
-    Gmres {
-        /// Krylov subspace dimension per restart cycle.
-        restart: usize,
-    },
-}
-
-impl SolverChoice {
-    /// The rung's family name (`"pcg"`, `"bicgstab"`, `"gmres"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SolverChoice::Pcg => "pcg",
-            SolverChoice::BiCgStab => "bicgstab",
-            SolverChoice::Gmres { .. } => "gmres",
-        }
-    }
-
-    /// Display label including parameters, e.g. `"gmres(50)"`.
-    pub fn label(&self) -> String {
-        match self {
-            SolverChoice::Gmres { restart } => format!("gmres({restart})"),
-            other => other.name().to_string(),
-        }
-    }
-}
+/// A rung of the solver ladder: the simulated solver's [`Method`](azul_sim::Method)
+/// (PCG, BiCGStab or restarted GMRES), named for its role here.
+pub use azul_sim::Method as SolverChoice;
 
 /// Declarative description of the three degradation ladders and the
 /// per-attempt resource bounds. Ladders are ordered strongest-first; the
@@ -257,7 +222,7 @@ pub struct SupervisedSolveReport {
     pub iterations: usize,
     /// True final residual of the winning attempt.
     pub final_residual: f64,
-    /// The tolerance the run was asked for ([`PcgSimConfig::tol`]).
+    /// The tolerance the run was asked for ([`SimSolverConfig::tol`]).
     pub requested_tol: f64,
     /// Sustained throughput of the winning attempt in GFLOP/s.
     pub gflops: f64,
@@ -352,21 +317,6 @@ pub fn escalation_trace_marks(sup: &SupervisedSolveReport) -> Vec<(u64, String)>
             )
         })
         .collect()
-}
-
-/// A solver-agnostic view of one attempt's outcome.
-struct RunOutcome {
-    x: Vec<f64>,
-    converged: bool,
-    iterations: usize,
-    final_residual: f64,
-    total_cycles: u64,
-    gflops: f64,
-    seconds: f64,
-    status: SolveStatus,
-    convergence: Vec<IterationSample>,
-    integrity: IntegrityAudit,
-    stats: KernelStats,
 }
 
 /// The reusable rung-0 prepare products of a supervised solve: the
@@ -764,7 +714,7 @@ impl SolveSupervisor {
                 Ok(outcome) if outcome.converged => {
                     let x = match &pre_ref.perm {
                         Some(p) => p.apply_inverse(&outcome.x),
-                        Option::None => outcome.x.clone(),
+                        Option::None => outcome.x,
                     };
                     return Ok(SupervisedSolveReport {
                         x,
@@ -772,7 +722,7 @@ impl SolveSupervisor {
                         final_residual: outcome.final_residual,
                         requested_tol: self.base.pcg.tol,
                         gflops: outcome.gflops,
-                        accelerator_seconds: outcome.seconds,
+                        accelerator_seconds: outcome.elapsed_seconds,
                         total_cycles: outcome.total_cycles,
                         attempts: attempt,
                         mapping: policy.mappings[mi].name().to_string(),
@@ -886,95 +836,23 @@ impl SolveSupervisor {
     }
 
     /// Compiles and runs one attempt's solver rung against the cached
-    /// placement and factor, normalizing the three report shapes.
+    /// placement and factor.
     fn run_solver(
         &self,
-        solver: SolverChoice,
+        method: SolverChoice,
         pre: &Preprocessed,
         factor: &Csr,
         sim_cfg: &SimConfig,
         pb: &[f64],
-    ) -> Result<RunOutcome, SimError> {
-        let base = &self.base.pcg;
-        match solver {
-            SolverChoice::Pcg => {
-                let sim = PcgSim::build_with_factor(&pre.pa, factor, &pre.placement, sim_cfg);
-                let run_cfg = PcgSimConfig {
-                    stagnation: self.policy.stagnation,
-                    cycle_budget: self.policy.cycle_budget,
-                    ..*base
-                };
-                let r = sim.try_run(pb, &run_cfg)?;
-                Ok(RunOutcome {
-                    x: r.x,
-                    converged: r.converged,
-                    iterations: r.iterations,
-                    final_residual: r.final_residual,
-                    total_cycles: r.total_cycles,
-                    gflops: r.gflops,
-                    seconds: r.elapsed_seconds,
-                    status: r.status,
-                    convergence: r.convergence,
-                    integrity: r.integrity,
-                    stats: r.stats,
-                })
-            }
-            SolverChoice::BiCgStab => {
-                let sim = BiCgStabSim::build_with_factor(&pre.pa, factor, &pre.placement, sim_cfg);
-                let run_cfg = BiCgStabSimConfig {
-                    tol: base.tol,
-                    max_iters: base.max_iters,
-                    timed_iterations: base.timed_iterations,
-                    recovery: base.recovery,
-                    stagnation: self.policy.stagnation,
-                    cycle_budget: self.policy.cycle_budget,
-                    integrity: base.integrity,
-                };
-                let r = sim.try_run(pb, &run_cfg)?;
-                let total_cycles = (r.cycles_per_iteration * r.iterations as f64) as u64;
-                Ok(RunOutcome {
-                    x: r.x,
-                    converged: r.converged,
-                    iterations: r.iterations,
-                    final_residual: r.final_residual,
-                    total_cycles,
-                    gflops: r.gflops,
-                    seconds: sim_cfg.cycles_to_seconds(total_cycles),
-                    status: r.status,
-                    convergence: r.convergence,
-                    integrity: r.integrity,
-                    stats: r.stats,
-                })
-            }
-            SolverChoice::Gmres { restart } => {
-                let sim = GmresSim::build_with_factor(&pre.pa, factor, &pre.placement, sim_cfg);
-                let run_cfg = GmresSimConfig {
-                    tol: base.tol,
-                    restart,
-                    max_iters: base.max_iters,
-                    timed_iterations: base.timed_iterations,
-                    recovery: base.recovery,
-                    stagnation: self.policy.stagnation,
-                    cycle_budget: self.policy.cycle_budget,
-                    integrity: base.integrity,
-                };
-                let r = sim.try_run(pb, &run_cfg)?;
-                let total_cycles = (r.cycles_per_iteration * r.iterations as f64) as u64;
-                Ok(RunOutcome {
-                    x: r.x,
-                    converged: r.converged,
-                    iterations: r.iterations,
-                    final_residual: r.final_residual,
-                    total_cycles,
-                    gflops: r.gflops,
-                    seconds: sim_cfg.cycles_to_seconds(total_cycles),
-                    status: r.status,
-                    convergence: r.convergence,
-                    integrity: r.integrity,
-                    stats: r.stats,
-                })
-            }
-        }
+    ) -> Result<SimSolverReport, SimError> {
+        let sim = SimSolver::build_with_factor(&pre.pa, factor, &pre.placement, sim_cfg);
+        let run_cfg = SimSolverConfig {
+            method,
+            stagnation: self.policy.stagnation,
+            cycle_budget: self.policy.cycle_budget,
+            ..self.base.pcg
+        };
+        sim.try_run(pb, &run_cfg)
     }
 }
 

@@ -281,7 +281,8 @@ const TRANS_RULES: [TransRule; 4] = [
         kinds: kind_bit(SinkKind::WallClock),
         min_chain: 2,
         root: |file, f| {
-            file.scope == "sim" && !f.is_test && (hot_name(&f.name) || f.name.starts_with("run"))
+            let entry = f.name.starts_with("run") || f.name.starts_with("try_run");
+            file.scope == "sim" && !f.is_test && (hot_name(&f.name) || entry)
         },
         // Every sim file is already under the lexical wall-clock rule
         // (profile.rs sanctioned); only out-of-crate sinks are new.

@@ -130,8 +130,8 @@ pub struct SimConfig {
     /// host-side control channel, not simulated hardware: it is absent
     /// from telemetry and ignored by config equality.
     pub cancel: Option<CancelToken>,
-    /// Cap on the per-iteration convergence-history samples a solve
-    /// frontend keeps (`0` = unlimited, the default, which preserves
+    /// Cap on the per-iteration convergence-history samples a simulated
+    /// solve keeps (`0` = unlimited, the default, which preserves
     /// byte-exact seed output). When a solve runs more iterations than
     /// the limit, the history is thinned by deterministic stride
     /// sampling that always keeps the first and last iterations, so
@@ -139,7 +139,7 @@ pub struct SimConfig {
     pub history_limit: usize,
 }
 
-/// Windowed stagnation detector for the iterative-solve frontends.
+/// Windowed stagnation detector for the simulated solver.
 ///
 /// The supervisor's solver ladder needs a bounded, deterministic way to
 /// decide that an iteration is going nowhere *before* the full

@@ -366,10 +366,9 @@ impl FaultSession {
 
 /// Knobs of the solver-level detection + checkpoint/rollback policy.
 ///
-/// The solver frontends ([`PcgSim`](crate::PcgSim),
-/// [`BiCgStabSim`](crate::BiCgStabSim), [`GmresSim`](crate::GmresSim))
-/// snapshot the solution vector every `checkpoint_interval` iterations.
-/// When a guard detects a non-finite scalar or residual growth beyond
+/// The simulated solver ([`SimSolver`](crate::SimSolver)) snapshots the
+/// solution vector every `checkpoint_interval` iterations (GMRES: at
+/// each healthy restart boundary). When a guard detects a non-finite scalar or residual growth beyond
 /// `divergence_factor` times the best residual seen, the solver restores
 /// the snapshot, recomputes the true residual `r = b − A x` with the
 /// reference kernels, rebuilds its recurrence state and continues — at
@@ -428,13 +427,13 @@ pub struct RecoveryRecord {
 /// divergence, stagnation. A low-mantissa SRAM flip produces none of
 /// those: the recursive residual stays finite and shrinking while the
 /// solution drifts from the truth. This policy arms two quiet detectors
-/// in the solver frontends:
+/// in the simulated solver:
 ///
 /// * **ABFT kernel checksums** ([`azul_solver::abft`]): Huang–Abraham
 ///   column/row checksum vectors precomputed per operator, verified
 ///   against a rounding-aware bound after SpMV/SpTRSV launches.
 /// * **True-residual audits**: every `audit_interval` iterations — and
-///   unconditionally before declaring convergence — the frontend
+///   unconditionally before declaring convergence — the solver
 ///   recomputes `r = b − A·x` with the reference kernels and compares it
 ///   to the recursive residual the recurrence has been carrying.
 ///
@@ -442,7 +441,7 @@ pub struct RecoveryRecord {
 /// checkpoint rollback → supervisor rung escalation via
 /// `BreakdownKind::IntegrityViolation`), so detection composes with
 /// [`RecoveryPolicy`] rather than replacing it. Disabled (the default),
-/// the frontends skip every check and telemetry stays byte-identical to
+/// the solver skips every check and telemetry stays byte-identical to
 /// the pre-integrity schema.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntegrityPolicy {

@@ -27,15 +27,16 @@
 //!   conservation laws (flit conservation, buffer bounds, trace
 //!   monotonicity, aggregate-vs-detail cross-checks), enabled via
 //!   `SimConfig::check_invariants`;
-//! * [`pcg`] — the end-to-end PCG driver (Listing 1 on the accelerator)
-//!   producing per-kernel cycle, operation, traffic and energy-activity
-//!   breakdowns; [`bicgstab`] and [`gmres`] run the other Krylov methods
-//!   through the same kernels;
-//! * `driver` (crate-private) — the iteration state machine those three
-//!   frontends share: timed-kernel accounting, cancellation, checkpoints
+//! * [`solver`] — the public simulated solver: one [`SimSolver`] runs PCG
+//!   (Listing 1 on the accelerator), BiCGStab or restarted GMRES, chosen
+//!   by a [`Method`], through the same compiled kernels, producing
+//!   per-kernel cycle, operation, traffic and energy-activity breakdowns;
+//! * `driver` (crate-private) — the iteration state machine the three
+//!   methods share: timed-kernel accounting, cancellation, checkpoints
 //!   and rollback, the NaN/divergence/breakdown guards, the ABFT ladder,
 //!   the residual audits, stagnation and cycle-budget checks, and the
-//!   convergence telemetry;
+//!   convergence telemetry; `pcg`, `bicgstab` and `gmres` (crate-private)
+//!   hold only each method's recurrence;
 //! * [`telemetry`] — conversion of [`stats::KernelStats`] (including the
 //!   per-PE/per-link detail collected under
 //!   `SimConfig::detailed_stats`) into `azul-telemetry` reports;
@@ -47,8 +48,7 @@
 //! # Example
 //!
 //! ```
-//! use azul_sim::config::SimConfig;
-//! use azul_sim::pcg::{PcgSim, PcgSimConfig};
+//! use azul_sim::{Method, SimConfig, SimSolver, SimSolverConfig};
 //! use azul_mapping::{strategies::{Mapper, AzulMapper}, TileGrid};
 //! use azul_sparse::generate;
 //!
@@ -56,39 +56,49 @@
 //! let b = vec![1.0; a.rows()];
 //! let grid = TileGrid::new(2, 2);
 //! let placement = AzulMapper::default().map(&a, grid);
-//! let sim = PcgSim::build(&a, &placement, &SimConfig::azul(grid)).unwrap();
-//! let report = sim.run(&b, &PcgSimConfig::default());
-//! assert!(report.converged);
-//! assert!(report.total_cycles > 0);
+//! let sim = SimSolver::build(&a, &placement, &SimConfig::azul(grid)).unwrap();
+//! for method in [Method::Pcg, Method::BiCgStab, Method::Gmres { restart: 30 }] {
+//!     let run_cfg = SimSolverConfig { method, ..Default::default() };
+//!     let report = sim.try_run(&b, &run_cfg)?;
+//!     assert!(report.converged);
+//!     assert!(report.total_cycles > 0);
+//! }
+//! # Ok::<(), azul_sim::SimError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 
-pub mod bicgstab;
+mod bicgstab;
 pub mod cancel;
 pub mod config;
 mod driver;
 pub mod faults;
-pub mod gmres;
+mod gmres;
 pub mod invariants;
 pub mod machine;
-pub mod pcg;
+mod pcg;
 pub mod pe;
 pub mod profile;
 pub mod program;
 pub mod router;
+pub mod solver;
 pub mod stats;
 pub mod telemetry;
 pub mod vecops;
 
-pub use bicgstab::{BiCgStabSim, BiCgStabSimConfig, BiCgStabSimReport};
 pub use cancel::CancelToken;
 pub use config::{PeModel, SimConfig};
 pub use faults::{
     DriftSample, FaultEvent, FaultKind, FaultPlan, FaultRecord, FaultSession, IntegrityAudit,
     IntegrityPolicy, IntegrityRecord, RecoveryPolicy, RecoveryRecord,
 };
-pub use gmres::{GmresSim, GmresSimConfig, GmresSimReport};
 pub use machine::SimError;
-pub use pcg::{PcgSim, PcgSimConfig, PcgSimReport};
+pub use solver::{Method, SimSolver, SimSolverConfig, SimSolverReport};
 pub use stats::{KernelClass, KernelStats, OpKind};
+
+/// The PCG-era names of the solver types, kept for existing callers.
+pub type PcgSim = SimSolver;
+/// See [`PcgSim`].
+pub type PcgSimConfig = SimSolverConfig;
+/// See [`PcgSim`].
+pub type PcgSimReport = SimSolverReport;

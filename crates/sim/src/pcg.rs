@@ -1,316 +1,42 @@
-//! End-to-end PCG on the simulated accelerator (Listing 1, Sec. VI).
-//!
-//! [`PcgSim`] compiles the three heavy kernels (SpMV with `A`, the solves
-//! with `L` and `L^T`) once per (matrix, placement) pair, then runs the
-//! PCG loop. The first `timed_iterations` iterations are simulated
-//! cycle-by-cycle (the per-iteration cost is steady-state: the same
-//! kernels touch the same data every iteration); remaining iterations use
-//! the reference kernels for functional progress and reuse the measured
-//! per-iteration cycle cost. The reported GFLOP/s follow the paper's
-//! accounting (an FMAC = 2 FLOPs).
+//! The PCG recurrence (Listing 1) on the simulated accelerator.
 
-use crate::config::{SimConfig, StagnationPolicy};
-use crate::driver::{guard, Driver, Interrupt, Kernels, Method, Recurrence, Step};
-use crate::faults::{FaultRecord, IntegrityAudit, IntegrityPolicy, RecoveryPolicy, RecoveryRecord};
+use crate::driver::{guard, Driver, Flops, Interrupt, Kernels, Recurrence, Step};
 use crate::machine::SimError;
-use crate::stats::KernelStats;
 use crate::vecops::VecOp;
-use azul_mapping::Placement;
-use azul_solver::flops::{self, FlopBreakdown};
-use azul_solver::ic0::ic0;
+use azul_solver::flops;
 use azul_solver::BreakdownKind::{NonFinite, PApZero};
-use azul_solver::{SolveStatus, SolverError};
-use azul_sparse::{dense, Csr};
-use azul_telemetry::report::IterationSample;
+use azul_sparse::dense;
 
-/// FLOPs represented by an op tally (FMAC = 2, Add/Mul = 1, Send = 0).
-pub(crate) fn flops_of_ops(ops: [u64; 4]) -> u64 {
-    2 * ops[0] + ops[1] + ops[2]
-}
-
-/// Run-time configuration of a PCG simulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PcgSimConfig {
-    /// Convergence tolerance on `||r||_2`.
-    pub tol: f64,
-    /// Iteration cap.
-    pub max_iters: usize,
-    /// Iterations to simulate cycle-by-cycle; later iterations reuse the
-    /// measured steady-state cost. 0 means "time every iteration".
-    pub timed_iterations: usize,
-    /// Fault detection + checkpoint/rollback policy (see
-    /// [`RecoveryPolicy`]). Guards always run; rollback requires
-    /// `recovery.enabled`.
-    pub recovery: RecoveryPolicy,
-    /// Optional stagnation detector: ends the solve with
-    /// `Breakdown(Stagnated)` when the residual stops improving (see
-    /// [`StagnationPolicy`]). `None` (the default) changes nothing.
-    pub stagnation: Option<StagnationPolicy>,
-    /// Per-attempt cycle budget: the solve ends with
-    /// `Breakdown(BudgetExhausted)` once the extrapolated cycle count
-    /// (the same accounting as the report's `total_cycles`) reaches this
-    /// many cycles. `u64::MAX` (the default) disables the check.
-    pub cycle_budget: u64,
-    /// Silent-corruption detection: ABFT kernel checksums, periodic
-    /// recursive-vs-true residual drift audits and a mandatory final
-    /// audit (see [`IntegrityPolicy`]). Disabled by default — the
-    /// zero-check path is byte-identical to the pre-integrity solver.
-    pub integrity: IntegrityPolicy,
-}
-
-impl Default for PcgSimConfig {
-    fn default() -> Self {
-        PcgSimConfig {
-            tol: 1e-10,
-            max_iters: 2000,
-            timed_iterations: 2,
-            recovery: RecoveryPolicy::default(),
-            stagnation: None,
-            cycle_budget: u64::MAX,
-            integrity: IntegrityPolicy::default(),
-        }
-    }
-}
-
-/// A PCG instance compiled for the accelerator.
-#[derive(Debug, Clone)]
-pub struct PcgSim {
-    cfg: SimConfig,
-    /// Without triangular-solve programs this runs plain CG.
-    k: Kernels,
-}
-
-/// Results of a simulated PCG solve.
-#[derive(Debug, Clone)]
-pub struct PcgSimReport {
-    /// The computed solution.
-    pub x: Vec<f64>,
-    /// Whether the solve converged within the iteration cap.
-    pub converged: bool,
-    /// Iterations executed.
-    pub iterations: usize,
-    /// True final residual `||b - A x||`.
-    pub final_residual: f64,
-    /// Iterations that were cycle-simulated.
-    pub timed_iterations: usize,
-    /// Measured steady-state cycles per iteration.
-    pub cycles_per_iteration: f64,
-    /// Extrapolated total cycles (setup + iterations).
-    pub total_cycles: u64,
-    /// Per-iteration cycles by kernel class `[Spmv, Sptrsv, VectorOps]`
-    /// (Fig. 22's breakdown).
-    pub kernel_cycles: [f64; 3],
-    /// Merged statistics over the timed portion.
-    pub stats: KernelStats,
-    /// FLOPs of one iteration, by kernel.
-    pub flops_per_iteration: FlopBreakdown,
-    /// Sustained double-precision throughput in GFLOP/s (steady state).
-    pub gflops: f64,
-    /// Extrapolated solve time in seconds at the configured clock.
-    pub elapsed_seconds: f64,
-    /// How the solve terminated (converged / iteration cap / breakdown —
-    /// including fault-induced breakdowns recovery could not mask).
-    pub status: SolveStatus,
-    /// Journal of fired fault events, when a [`FaultPlan`](crate::FaultPlan)
-    /// was configured.
-    pub fault_events: Vec<FaultRecord>,
-    /// Executed checkpoint rollbacks (empty in a clean run).
-    pub recoveries: Vec<RecoveryRecord>,
-    /// Integrity journal (checks run, violations, drift samples, escape
-    /// count). Empty unless [`PcgSimConfig::integrity`] is enabled.
-    pub integrity: IntegrityAudit,
-    /// Convergence telemetry: one sample per iteration (sample 0 covers
-    /// setup), with residual norms and per-iteration cycle/FLOP/traffic
-    /// deltas. Cycle-simulated iterations carry measured deltas; later
-    /// iterations reuse the steady-state averages, mirroring the
-    /// extrapolation of `total_cycles`.
-    pub convergence: Vec<IterationSample>,
-}
-
-impl PcgSimReport {
-    /// Fraction of peak compute throughput achieved.
-    pub fn fraction_of_peak(&self, cfg: &SimConfig) -> f64 {
-        self.gflops / cfg.peak_gflops()
-    }
-}
-
-impl PcgSim {
-    /// Builds the PCG pipeline: factors `a` with IC(0) and compiles the
-    /// three kernels under `placement`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates IC(0) breakdowns.
-    pub fn build(a: &Csr, placement: &Placement, cfg: &SimConfig) -> Result<Self, SolverError> {
-        let l = ic0(a)?;
-        Ok(Self::build_with_factor(a, &l, placement, cfg))
-    }
-
-    /// Builds with a caller-supplied lower-triangular factor sharing
-    /// `tril(a)`'s pattern (e.g. a Gauss-Seidel preconditioner).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the factor pattern does not match `tril(a)` or the
-    /// placement does not match `a`.
-    pub fn build_with_factor(a: &Csr, l: &Csr, placement: &Placement, cfg: &SimConfig) -> Self {
-        PcgSim {
-            cfg: cfg.clone(),
-            k: Kernels::compile(a, Some(l), placement),
-        }
-    }
-
-    /// Builds an *unpreconditioned* CG pipeline (Table II's "Conjugate
-    /// Gradients / None" row): only the SpMV kernel runs; the
-    /// preconditioner step is the identity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the placement does not match `a`.
-    pub fn build_unpreconditioned(a: &Csr, placement: &Placement, cfg: &SimConfig) -> Self {
-        PcgSim {
-            cfg: cfg.clone(),
-            k: Kernels::compile(a, None, placement),
-        }
-    }
-
-    /// The simulator configuration in use.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
-    /// The matrix currently loaded.
-    pub fn matrix(&self) -> &Csr {
-        &self.k.a
-    }
-
-    /// Replaces the matrix *values* while keeping the sparsity pattern,
-    /// placement and communication trees — the Sec. II-C time-stepping
-    /// case where `A`'s stiffness values change but its structure (the
-    /// mesh) does not. Re-factors IC(0) and recompiles the kernel
-    /// programs; the expensive mapping is untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::Dimension`] if `a_new`'s sparsity pattern
-    /// differs from the current matrix, or propagates IC(0) breakdowns.
-    pub fn update_values(&mut self, a_new: &Csr, placement: &Placement) -> Result<(), SolverError> {
-        if a_new.row_ptr() != self.k.a.row_ptr() || a_new.col_idx() != self.k.a.col_idx() {
-            return Err(SolverError::Dimension(
-                "update_values requires an identical sparsity pattern".into(),
-            ));
-        }
-        let l = ic0(a_new)?;
-        self.update_values_with_factor(a_new, &l, placement)
-    }
-
-    /// As [`PcgSim::update_values`], but with a caller-supplied factor
-    /// (e.g. a refreshed Gauss-Seidel/SSOR factor).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::Dimension`] on a pattern mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the factor's pattern differs from `tril(a_new)`.
-    pub fn update_values_with_factor(
-        &mut self,
-        a_new: &Csr,
-        l_new: &Csr,
-        placement: &Placement,
-    ) -> Result<(), SolverError> {
-        if a_new.row_ptr() != self.k.a.row_ptr() || a_new.col_idx() != self.k.a.col_idx() {
-            return Err(SolverError::Dimension(
-                "update_values requires an identical sparsity pattern".into(),
-            ));
-        }
-        self.k = Kernels::compile(a_new, Some(l_new), placement);
-        Ok(())
-    }
-
-    /// Runs PCG with right-hand side `b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` differs from the matrix dimension, or if the
-    /// simulated machine deadlocks (use [`PcgSim::try_run`] to handle
-    /// that as a value).
-    pub fn run(&self, b: &[f64], run_cfg: &PcgSimConfig) -> PcgSimReport {
-        match self.try_run(b, run_cfg) {
-            Ok(report) => report,
-            Err(e) => panic!("simulated PCG failed: {e}"),
-        }
-    }
-
-    /// Runs PCG with right-hand side `b`, surfacing machine-level failures
-    /// (e.g. a fault-induced [`SimError::Deadlock`]) as errors instead of
-    /// panicking. Numerical anomalies (NaN/Inf, stagnating `p·Ap`,
-    /// residual divergence) never error: with recovery enabled they roll
-    /// back to the last checkpoint, otherwise they terminate the solve
-    /// with [`SolveStatus::Breakdown`] in the report.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Deadlock`] when a simulated kernel stops making
-    /// progress (watchdog) or exceeds the cycle cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` differs from the matrix dimension.
-    #[must_use = "a dropped result discards both the solve report and the structured failure"]
-    pub fn try_run(&self, b: &[f64], run_cfg: &PcgSimConfig) -> Result<PcgSimReport, SimError> {
-        let k = &self.k;
-        let mut d = Driver::new(Method::Pcg, &self.cfg, k, b, run_cfg.into());
-        // Setup (timed): r = b; z = p = L^-T L^-1 r; rz = r.z
-        let r = b.to_vec();
-        let z = if k.trisolve.is_some() {
-            let y = d.lower(&r)?;
-            d.upper(&y)?
-        } else {
-            r.clone()
-        };
-        d.vec_op(VecOp::Dot, 1);
-        d.start(dense::norm2(&r));
-        let mut pcg = Pcg {
-            k,
-            b,
-            rz: dense::dot(&r, &z),
-            p: z.clone(),
-            r,
-            z,
-        };
-        let mut x = vec![0.0f64; k.a.rows()];
-        d.run(&mut pcg, &mut x)?;
-        let out = d.finish(&x)?;
-
-        let flops_per_iteration =
-            flops::pcg_iteration_breakdown(&k.a, k.trisolve.as_ref().map_or(0, |_| k.l.nnz()));
-        let gflops = if out.cycles_per_iteration > 0.0 {
-            flops_per_iteration.total() as f64 / out.cycles_per_iteration * self.cfg.clock_ghz
-        } else {
-            0.0
-        };
-        Ok(PcgSimReport {
-            x,
-            converged: out.converged,
-            iterations: out.iterations,
-            final_residual: out.final_residual,
-            timed_iterations: out.timed_iterations,
-            cycles_per_iteration: out.cycles_per_iteration,
-            total_cycles: out.total_cycles,
-            kernel_cycles: out.kernel_cycles,
-            stats: out.stats,
-            flops_per_iteration,
-            gflops,
-            elapsed_seconds: self.cfg.cycles_to_seconds(out.total_cycles),
-            status: out.status,
-            fault_events: out.fault_events,
-            recoveries: out.recoveries,
-            integrity: out.integrity,
-            convergence: out.convergence,
-        })
-    }
+/// Runs PCG (plain CG without a factor) on `d` from `x = 0`.
+pub(crate) fn run(
+    d: &mut Driver,
+    k: &Kernels,
+    b: &[f64],
+    x: &mut [f64],
+) -> Result<Flops, SimError> {
+    // Setup (timed): r = b; z = p = L^-T L^-1 r; rz = r.z
+    let r = b.to_vec();
+    let z = if k.trisolve.is_some() {
+        let y = d.lower(&r)?;
+        d.upper(&y)?
+    } else {
+        r.clone()
+    };
+    d.vec_op(VecOp::Dot, 1);
+    d.start(dense::norm2(&r));
+    let mut pcg = Pcg {
+        k,
+        b,
+        rz: dense::dot(&r, &z),
+        p: z.clone(),
+        r,
+        z,
+    };
+    d.run(&mut pcg, x)?;
+    let nnz_l = k.trisolve.as_ref().map_or(0, |_| k.l.nnz());
+    Ok(Flops::PerIteration(flops::pcg_iteration_breakdown(
+        &k.a, nnz_l,
+    )))
 }
 
 /// The PCG recurrence (Listing 1).
@@ -376,10 +102,13 @@ impl Recurrence for Pcg<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{SimConfig, StagnationPolicy};
+    use crate::solver::{SimSolver, SimSolverConfig};
     use crate::stats::KernelClass;
     use azul_mapping::strategies::{AzulMapper, Mapper, RoundRobinMapper};
     use azul_mapping::TileGrid;
     use azul_solver::BreakdownKind;
+    use azul_solver::SolveStatus;
     use azul_sparse::generate;
 
     fn rhs(n: usize) -> Vec<f64> {
@@ -393,9 +122,9 @@ mod tests {
         let a = generate::grid_laplacian_2d(8, 8);
         let grid = TileGrid::new(2, 2);
         let p = RoundRobinMapper.map(&a, grid);
-        let sim = PcgSim::build(&a, &p, &SimConfig::azul(grid)).unwrap();
+        let sim = SimSolver::build(&a, &p, &SimConfig::azul(grid)).unwrap();
         let b = rhs(a.rows());
-        let report = sim.run(&b, &PcgSimConfig::default());
+        let report = sim.try_run(&b, &SimSolverConfig::default()).unwrap();
         assert!(report.converged, "residual {}", report.final_residual);
         assert!(report.final_residual <= 1e-8);
 
@@ -411,9 +140,9 @@ mod tests {
         let a = generate::grid_laplacian_2d(8, 8);
         let grid = TileGrid::new(2, 2);
         let p = RoundRobinMapper.map(&a, grid);
-        let sim = PcgSim::build(&a, &p, &SimConfig::azul(grid)).unwrap();
+        let sim = SimSolver::build(&a, &p, &SimConfig::azul(grid)).unwrap();
         let b = rhs(a.rows());
-        let report = sim.run(&b, &PcgSimConfig::default());
+        let report = sim.try_run(&b, &SimSolverConfig::default()).unwrap();
         // One sample per iteration plus the setup sample.
         assert_eq!(report.convergence.len(), report.iterations + 1);
         assert_eq!(report.convergence[0].iteration, 0);
@@ -441,15 +170,17 @@ mod tests {
         let a = generate::grid_laplacian_2d(8, 8);
         let grid = TileGrid::new(2, 2);
         let p = RoundRobinMapper.map(&a, grid);
-        let sim = PcgSim::build(&a, &p, &SimConfig::azul(grid)).unwrap();
+        let sim = SimSolver::build(&a, &p, &SimConfig::azul(grid)).unwrap();
         let b = rhs(a.rows());
-        let report = sim.run(
-            &b,
-            &PcgSimConfig {
-                timed_iterations: 1,
-                ..Default::default()
-            },
-        );
+        let report = sim
+            .try_run(
+                &b,
+                &SimSolverConfig {
+                    timed_iterations: 1,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
         assert_eq!(report.timed_iterations, 1);
         assert!(report.cycles_per_iteration > 0.0);
         assert!(report.total_cycles > report.cycles_per_iteration as u64);
@@ -461,9 +192,9 @@ mod tests {
         let grid = TileGrid::new(2, 2);
         let p = AzulMapper::default().map(&a, grid);
         let cfg = SimConfig::azul(grid);
-        let sim = PcgSim::build(&a, &p, &cfg).unwrap();
+        let sim = SimSolver::build(&a, &p, &cfg).unwrap();
         let b = rhs(a.rows());
-        let report = sim.run(&b, &PcgSimConfig::default());
+        let report = sim.try_run(&b, &SimSolverConfig::default()).unwrap();
         assert!(report.gflops > 0.0);
         assert!(report.fraction_of_peak(&cfg) < 1.0);
         assert!(report.fraction_of_peak(&cfg) > 0.001);
@@ -474,9 +205,9 @@ mod tests {
         let a = generate::grid_laplacian_2d(10, 10);
         let grid = TileGrid::new(2, 2);
         let p = RoundRobinMapper.map(&a, grid);
-        let sim = PcgSim::build(&a, &p, &SimConfig::azul(grid)).unwrap();
+        let sim = SimSolver::build(&a, &p, &SimConfig::azul(grid)).unwrap();
         let b = rhs(a.rows());
-        let report = sim.run(&b, &PcgSimConfig::default());
+        let report = sim.try_run(&b, &SimSolverConfig::default()).unwrap();
         let total: f64 = report.kernel_cycles.iter().sum();
         assert!((total - report.cycles_per_iteration).abs() < 1e-6);
         // SpTRSV involves two solves and limited parallelism: it should be
@@ -491,9 +222,9 @@ mod tests {
         let a = generate::grid_laplacian_2d(8, 8);
         let grid = TileGrid::new(2, 2);
         let p = RoundRobinMapper.map(&a, grid);
-        let sim = PcgSim::build_unpreconditioned(&a, &p, &SimConfig::azul(grid));
+        let sim = SimSolver::build_unpreconditioned(&a, &p, &SimConfig::azul(grid));
         let b = rhs(a.rows());
-        let out = sim.run(&b, &PcgSimConfig::default());
+        let out = sim.try_run(&b, &SimSolverConfig::default()).unwrap();
         assert!(out.converged);
         let reference = azul_solver::cg(&a, &b, &azul_solver::PcgConfig::default());
         assert_eq!(out.iterations, reference.iterations);
@@ -508,9 +239,9 @@ mod tests {
         let a = generate::grid_laplacian_2d(6, 6);
         let grid = TileGrid::new(2, 2);
         let p = RoundRobinMapper.map(&a, grid);
-        let mut sim = PcgSim::build(&a, &p, &SimConfig::azul(grid)).unwrap();
+        let mut sim = SimSolver::build(&a, &p, &SimConfig::azul(grid)).unwrap();
         let b = rhs(a.rows());
-        let before = sim.run(&b, &PcgSimConfig::default());
+        let before = sim.try_run(&b, &SimSolverConfig::default()).unwrap();
         assert!(before.converged);
 
         // Scale all values by 2: same pattern, solution halves.
@@ -519,7 +250,7 @@ mod tests {
             *v *= 2.0;
         }
         sim.update_values(&a2, &p).unwrap();
-        let after = sim.run(&b, &PcgSimConfig::default());
+        let after = sim.try_run(&b, &SimSolverConfig::default()).unwrap();
         assert!(after.converged);
         for i in 0..a.rows() {
             assert!((after.x[i] * 2.0 - before.x[i]).abs() < 1e-7);
@@ -535,14 +266,14 @@ mod tests {
         let a = generate::grid_laplacian_2d(8, 8);
         let grid = TileGrid::new(2, 2);
         let p = RoundRobinMapper.map(&a, grid);
-        let sim = PcgSim::build(&a, &p, &SimConfig::azul(grid)).unwrap();
+        let sim = SimSolver::build(&a, &p, &SimConfig::azul(grid)).unwrap();
         let b = rhs(a.rows());
         // Demand a 99.9% residual drop every iteration: even a healthy
         // solve "stagnates" by this bar, exercising the detector.
         let report = sim
             .try_run(
                 &b,
-                &PcgSimConfig {
+                &SimSolverConfig {
                     stagnation: Some(StagnationPolicy::new(1, 0.999)),
                     ..Default::default()
                 },
@@ -566,15 +297,15 @@ mod tests {
         let a = generate::grid_laplacian_2d(8, 8);
         let grid = TileGrid::new(2, 2);
         let p = RoundRobinMapper.map(&a, grid);
-        let sim = PcgSim::build(&a, &p, &SimConfig::azul(grid)).unwrap();
+        let sim = SimSolver::build(&a, &p, &SimConfig::azul(grid)).unwrap();
         let b = rhs(a.rows());
-        let full = sim.try_run(&b, &PcgSimConfig::default()).unwrap();
+        let full = sim.try_run(&b, &SimSolverConfig::default()).unwrap();
         assert!(full.converged);
         let budget = full.total_cycles / 2;
         let capped = sim
             .try_run(
                 &b,
-                &PcgSimConfig {
+                &SimSolverConfig {
                     cycle_budget: budget,
                     ..Default::default()
                 },
@@ -594,16 +325,18 @@ mod tests {
         let grid = TileGrid::new(4, 4);
         let cfg = SimConfig::azul(grid);
         let b = rhs(a.rows());
-        let run_cfg = PcgSimConfig {
+        let run_cfg = SimSolverConfig {
             timed_iterations: 1,
             ..Default::default()
         };
-        let rr = PcgSim::build(&a, &RoundRobinMapper.map(&a, grid), &cfg)
+        let rr = SimSolver::build(&a, &RoundRobinMapper.map(&a, grid), &cfg)
             .unwrap()
-            .run(&b, &run_cfg);
-        let az = PcgSim::build(&a, &AzulMapper::default().map(&a, grid), &cfg)
+            .try_run(&b, &run_cfg)
+            .unwrap();
+        let az = SimSolver::build(&a, &AzulMapper::default().map(&a, grid), &cfg)
             .unwrap()
-            .run(&b, &run_cfg);
+            .try_run(&b, &run_cfg)
+            .unwrap();
         assert!(
             az.cycles_per_iteration < rr.cycles_per_iteration,
             "azul {} vs rr {}",

@@ -8,7 +8,7 @@ use azul::mapping::strategies::{AzulMapper, BlockMapper, Mapper, RoundRobinMappe
 use azul::mapping::traffic::pcg_iteration_traffic;
 use azul::mapping::TileGrid;
 use azul::sim::config::SimConfig;
-use azul::sim::pcg::{PcgSim, PcgSimConfig};
+use azul::sim::{SimSolver, SimSolverConfig};
 use azul::sparse::coloring::{color_and_permute, ColoringStrategy};
 use azul::sparse::generate;
 
@@ -45,16 +45,18 @@ fn main() {
         let map_time = t0.elapsed();
 
         let traffic = pcg_iteration_traffic(&a, &placement);
-        let pcg = PcgSim::build(&a, &placement, &sim_cfg).expect("IC(0) succeeds");
-        let report = pcg.run(
-            &b,
-            &PcgSimConfig {
-                timed_iterations: 2,
-                max_iters: 3,
-                tol: 1e-12,
-                ..Default::default()
-            },
-        );
+        let pcg = SimSolver::build(&a, &placement, &sim_cfg).expect("IC(0) succeeds");
+        let report = pcg
+            .try_run(
+                &b,
+                &SimSolverConfig {
+                    timed_iterations: 2,
+                    max_iters: 3,
+                    tol: 1e-12,
+                    ..Default::default()
+                },
+            )
+            .expect("simulated solve runs");
         println!(
             "{:<14} {:>9.2?} {:>12} {:>12} {:>12.0} {:>10.1}",
             name,
@@ -77,7 +79,7 @@ trait ReportExt {
     fn sim_cycles_per_iteration(&self) -> f64;
 }
 
-impl ReportExt for azul::sim::pcg::PcgSimReport {
+impl ReportExt for azul::sim::SimSolverReport {
     fn sim_cycles_per_iteration(&self) -> f64 {
         self.cycles_per_iteration
     }

@@ -12,7 +12,7 @@ use azul::mapping::strategies::{AzulMapper, Mapper, RoundRobinMapper};
 use azul::mapping::traffic::{bisection_load, pcg_iteration_traffic};
 use azul::mapping::TileGrid;
 use azul::sim::config::SimConfig;
-use azul::sim::pcg::{PcgSim, PcgSimConfig};
+use azul::sim::{SimSolver, SimSolverConfig};
 use azul::sparse::coloring::{color_and_permute, ColoringStrategy};
 use azul::sparse::generate;
 
@@ -36,16 +36,18 @@ fn main() {
         ] {
             let traffic = pcg_iteration_traffic(&a, &placement);
             let load = bisection_load(&traffic, &placement);
-            let sim = PcgSim::build(&a, &placement, &SimConfig::azul(grid)).expect("IC(0)");
-            let rep = sim.run(
-                &b,
-                &PcgSimConfig {
-                    timed_iterations: 2,
-                    max_iters: 3,
-                    tol: 1e-12,
-                    ..Default::default()
-                },
-            );
+            let sim = SimSolver::build(&a, &placement, &SimConfig::azul(grid)).expect("IC(0)");
+            let rep = sim
+                .try_run(
+                    &b,
+                    &SimSolverConfig {
+                        timed_iterations: 2,
+                        max_iters: 3,
+                        tol: 1e-12,
+                        ..Default::default()
+                    },
+                )
+                .expect("simulated solve runs");
             println!(
                 "{:<22} {:>10} {:>12} {:>12.0} {:>10.1}",
                 format!("{tname} + {mname}"),

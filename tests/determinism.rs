@@ -18,17 +18,15 @@
 
 use azul::mapping::strategies::{AzulMapper, Mapper};
 use azul::mapping::TileGrid;
-use azul::sim::bicgstab::{BiCgStabSim, BiCgStabSimConfig};
 use azul::sim::config::SimConfig;
 use azul::sim::faults::{FaultPlan, FaultRecord, IntegrityAudit, IntegrityPolicy, RecoveryRecord};
-use azul::sim::gmres::{GmresSim, GmresSimConfig};
 use azul::sim::invariants::{Checker, RULE_FLIT_CONSERVATION};
 use azul::sim::machine::SimError;
-use azul::sim::pcg::{PcgSim, PcgSimConfig, PcgSimReport};
 use azul::sim::stats::KernelStats;
 use azul::sim::telemetry::{
     describe_config, fill_fault_report, fill_integrity_report, fill_invariant_report, fill_report,
 };
+use azul::sim::{Method, SimSolver, SimSolverConfig, SimSolverReport};
 use azul::sparse::generate;
 use azul::telemetry::report::IterationSample;
 use azul::telemetry::trace::{chrome_trace_json, validate_chrome_trace, TraceConfig};
@@ -48,18 +46,18 @@ fn rhs(n: usize) -> Vec<f64> {
 }
 
 /// One checked, detailed solve of the scenario.
-fn solve(faults: Option<FaultPlan>) -> (PcgSimReport, SimConfig) {
+fn solve(faults: Option<FaultPlan>) -> (SimSolverReport, SimConfig) {
     let (a, p, grid) = setup();
     let mut cfg = SimConfig::azul(grid);
     cfg.detailed_stats = true;
     cfg.check_invariants = true;
     cfg.faults = faults;
-    let run_cfg = PcgSimConfig {
+    let run_cfg = SimSolverConfig {
         // Time every iteration so the fault timeline is exercised.
         timed_iterations: 0,
-        ..PcgSimConfig::default()
+        ..SimSolverConfig::default()
     };
-    let sim = PcgSim::build(&a, &p, &cfg).expect("pcg build");
+    let sim = SimSolver::build(&a, &p, &cfg).expect("pcg build");
     let report = sim
         .try_run(&rhs(a.rows()), &run_cfg)
         .expect("checked solve succeeds");
@@ -70,7 +68,7 @@ fn solve(faults: Option<FaultPlan>) -> (PcgSimReport, SimConfig) {
 /// counters, per-PE/per-link detail, convergence history, fault and
 /// recovery journals, and the invariant audit. No `absorb_spans` —
 /// span wall-times are host measurements.
-fn serialize(report: &PcgSimReport, cfg: &SimConfig) -> String {
+fn serialize(report: &SimSolverReport, cfg: &SimConfig) -> String {
     serialize_parts(
         cfg,
         &report.stats,
@@ -150,11 +148,11 @@ fn assert_engine_invariant(
 fn pcg_json(threads: usize, ff: bool, event: bool, faults: Option<FaultPlan>) -> String {
     let (a, p, grid) = setup();
     let cfg = engine_cfg(grid, threads, ff, event, faults);
-    let run_cfg = PcgSimConfig {
+    let run_cfg = SimSolverConfig {
         timed_iterations: 0,
-        ..PcgSimConfig::default()
+        ..SimSolverConfig::default()
     };
-    let sim = PcgSim::build(&a, &p, &cfg).expect("pcg build");
+    let sim = SimSolver::build(&a, &p, &cfg).expect("pcg build");
     let r = sim.try_run(&rhs(a.rows()), &run_cfg).expect("pcg solve");
     serialize_parts(
         &cfg,
@@ -168,11 +166,12 @@ fn pcg_json(threads: usize, ff: bool, event: bool, faults: Option<FaultPlan>) ->
 fn bicgstab_json(threads: usize, ff: bool, event: bool, faults: Option<FaultPlan>) -> String {
     let (a, p, grid) = setup();
     let cfg = engine_cfg(grid, threads, ff, event, faults);
-    let run_cfg = BiCgStabSimConfig {
+    let run_cfg = SimSolverConfig {
+        method: Method::BiCgStab,
         timed_iterations: 0,
-        ..BiCgStabSimConfig::default()
+        ..SimSolverConfig::default()
     };
-    let sim = BiCgStabSim::build(&a, &p, &cfg).expect("bicgstab build");
+    let sim = SimSolver::build(&a, &p, &cfg).expect("bicgstab build");
     let r = sim
         .try_run(&rhs(a.rows()), &run_cfg)
         .expect("bicgstab solve");
@@ -188,11 +187,12 @@ fn bicgstab_json(threads: usize, ff: bool, event: bool, faults: Option<FaultPlan
 fn gmres_json(threads: usize, ff: bool, event: bool, faults: Option<FaultPlan>) -> String {
     let (a, p, grid) = setup();
     let cfg = engine_cfg(grid, threads, ff, event, faults);
-    let run_cfg = GmresSimConfig {
+    let run_cfg = SimSolverConfig {
+        method: Method::Gmres { restart: 30 },
         timed_iterations: 0,
-        ..GmresSimConfig::default()
+        ..SimSolverConfig::default()
     };
-    let sim = GmresSim::build(&a, &p, &cfg).expect("gmres build");
+    let sim = SimSolver::build(&a, &p, &cfg).expect("gmres build");
     let r = sim.try_run(&rhs(a.rows()), &run_cfg).expect("gmres solve");
     serialize_parts(
         &cfg,
@@ -243,12 +243,12 @@ fn assert_clean_audit(solver: &str, audit: &IntegrityAudit) {
 fn pcg_audited_json(threads: usize, ff: bool, event: bool) -> String {
     let (a, p, grid) = setup();
     let cfg = engine_cfg(grid, threads, ff, event, None);
-    let run_cfg = PcgSimConfig {
+    let run_cfg = SimSolverConfig {
         timed_iterations: 0,
         integrity: IntegrityPolicy::audit(),
-        ..PcgSimConfig::default()
+        ..SimSolverConfig::default()
     };
-    let sim = PcgSim::build(&a, &p, &cfg).expect("pcg build");
+    let sim = SimSolver::build(&a, &p, &cfg).expect("pcg build");
     let r = sim.try_run(&rhs(a.rows()), &run_cfg).expect("pcg solve");
     assert_clean_audit("pcg", &r.integrity);
     serialize_audited(
@@ -264,12 +264,13 @@ fn pcg_audited_json(threads: usize, ff: bool, event: bool) -> String {
 fn bicgstab_audited_json(threads: usize, ff: bool, event: bool) -> String {
     let (a, p, grid) = setup();
     let cfg = engine_cfg(grid, threads, ff, event, None);
-    let run_cfg = BiCgStabSimConfig {
+    let run_cfg = SimSolverConfig {
+        method: Method::BiCgStab,
         timed_iterations: 0,
         integrity: IntegrityPolicy::audit(),
-        ..BiCgStabSimConfig::default()
+        ..SimSolverConfig::default()
     };
-    let sim = BiCgStabSim::build(&a, &p, &cfg).expect("bicgstab build");
+    let sim = SimSolver::build(&a, &p, &cfg).expect("bicgstab build");
     let r = sim
         .try_run(&rhs(a.rows()), &run_cfg)
         .expect("bicgstab solve");
@@ -287,12 +288,13 @@ fn bicgstab_audited_json(threads: usize, ff: bool, event: bool) -> String {
 fn gmres_audited_json(threads: usize, ff: bool, event: bool) -> String {
     let (a, p, grid) = setup();
     let cfg = engine_cfg(grid, threads, ff, event, None);
-    let run_cfg = GmresSimConfig {
+    let run_cfg = SimSolverConfig {
+        method: Method::Gmres { restart: 30 },
         timed_iterations: 0,
         integrity: IntegrityPolicy::audit(),
-        ..GmresSimConfig::default()
+        ..SimSolverConfig::default()
     };
-    let sim = GmresSim::build(&a, &p, &cfg).expect("gmres build");
+    let sim = SimSolver::build(&a, &p, &cfg).expect("gmres build");
     let r = sim.try_run(&rhs(a.rows()), &run_cfg).expect("gmres solve");
     assert_clean_audit("gmres", &r.integrity);
     serialize_audited(
@@ -353,27 +355,29 @@ fn traced_trace_json(
     let b = rhs(a.rows());
     let stats = match solver {
         "pcg" => {
-            let run_cfg = PcgSimConfig {
+            let run_cfg = SimSolverConfig {
                 timed_iterations: 0,
-                ..PcgSimConfig::default()
+                ..SimSolverConfig::default()
             };
-            let sim = PcgSim::build(&a, &p, &cfg).expect("pcg build");
+            let sim = SimSolver::build(&a, &p, &cfg).expect("pcg build");
             sim.try_run(&b, &run_cfg).expect("pcg solve").stats
         }
         "bicgstab" => {
-            let run_cfg = BiCgStabSimConfig {
+            let run_cfg = SimSolverConfig {
+                method: Method::BiCgStab,
                 timed_iterations: 0,
-                ..BiCgStabSimConfig::default()
+                ..SimSolverConfig::default()
             };
-            let sim = BiCgStabSim::build(&a, &p, &cfg).expect("bicgstab build");
+            let sim = SimSolver::build(&a, &p, &cfg).expect("bicgstab build");
             sim.try_run(&b, &run_cfg).expect("bicgstab solve").stats
         }
         "gmres" => {
-            let run_cfg = GmresSimConfig {
+            let run_cfg = SimSolverConfig {
+                method: Method::Gmres { restart: 30 },
                 timed_iterations: 0,
-                ..GmresSimConfig::default()
+                ..SimSolverConfig::default()
             };
-            let sim = GmresSim::build(&a, &p, &cfg).expect("gmres build");
+            let sim = SimSolver::build(&a, &p, &cfg).expect("gmres build");
             sim.try_run(&b, &run_cfg).expect("gmres solve").stats
         }
         other => panic!("unknown solver {other}"),

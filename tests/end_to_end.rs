@@ -6,8 +6,8 @@ use azul::mapping::strategies::{AzulMapper, BlockMapper, Mapper, RoundRobinMappe
 use azul::mapping::TileGrid;
 use azul::sim::config::SimConfig;
 use azul::sim::machine::run_kernel;
-use azul::sim::pcg::{PcgSim, PcgSimConfig};
 use azul::sim::program::Program;
+use azul::sim::{SimSolver, SimSolverConfig};
 use azul::solver::ic0::ic0;
 use azul::solver::precond::IncompleteCholesky;
 use azul::solver::{pcg, PcgConfig};
@@ -37,8 +37,8 @@ fn simulated_pcg_matches_reference_on_suite_matrices() {
             ..Default::default()
         }
         .map(&a, grid);
-        let sim = PcgSim::build(&a, &placement, &SimConfig::azul(grid)).unwrap();
-        let sim_out = sim.run(&b, &PcgSimConfig::default());
+        let sim = SimSolver::build(&a, &placement, &SimConfig::azul(grid)).unwrap();
+        let sim_out = sim.try_run(&b, &SimSolverConfig::default()).unwrap();
 
         let m = IncompleteCholesky::new(&a).unwrap();
         let ref_out = pcg(&a, &b, &m, &PcgConfig::default());

@@ -10,14 +10,12 @@
 
 use azul::mapping::strategies::{Mapper, RoundRobinMapper};
 use azul::mapping::TileGrid;
-use azul::sim::bicgstab::{BiCgStabSim, BiCgStabSimConfig};
 use azul::sim::config::SimConfig;
 use azul::sim::faults::{FaultEvent, FaultKind, FaultPlan, IntegrityPolicy, RecoveryPolicy};
-use azul::sim::gmres::{GmresSim, GmresSimConfig};
 use azul::sim::machine::{run_kernel_checked, SimError};
-use azul::sim::pcg::{PcgSim, PcgSimConfig};
 use azul::sim::program::Program;
 use azul::sim::telemetry::{describe_config, fill_fault_report, fill_report};
+use azul::sim::{Method, SimSolver, SimSolverConfig};
 use azul::solver::SolveStatus;
 use azul::sparse::generate;
 use azul::telemetry::TelemetryReport;
@@ -119,9 +117,9 @@ fn pcg_try_run_surfaces_deadlock() {
         at_cycle: 100,
         kind: FaultKind::PeKill { tile: 1 },
     }]));
-    let sim = PcgSim::build(&a, &p, &cfg).unwrap();
+    let sim = SimSolver::build(&a, &p, &cfg).unwrap();
     let b = rhs(a.rows());
-    let run_cfg = PcgSimConfig {
+    let run_cfg = SimSolverConfig {
         timed_iterations: 0,
         ..Default::default()
     };
@@ -142,21 +140,24 @@ fn pcg_try_run_surfaces_deadlock() {
 fn pcg_recovers_from_crafted_fault_scenario() {
     let (a, p, grid) = poisson_setup();
     let b = rhs(a.rows());
-    let run_cfg = PcgSimConfig {
+    let run_cfg = SimSolverConfig {
         timed_iterations: 0,
         ..Default::default()
     };
 
     // Fault-free baseline.
     let clean_cfg = SimConfig::azul(grid);
-    let clean = PcgSim::build(&a, &p, &clean_cfg).unwrap().run(&b, &run_cfg);
+    let clean = SimSolver::build(&a, &p, &clean_cfg)
+        .unwrap()
+        .try_run(&b, &run_cfg)
+        .unwrap();
     assert!(clean.converged);
     assert!(clean.fault_events.is_empty() && clean.recoveries.is_empty());
 
     // Faulted run.
     let mut cfg = SimConfig::azul(grid);
     cfg.faults = Some(acceptance_plan());
-    let sim = PcgSim::build(&a, &p, &cfg).unwrap();
+    let sim = SimSolver::build(&a, &p, &cfg).unwrap();
     let report = sim
         .try_run(&b, &run_cfg)
         .expect("recovery must carry the solve through");
@@ -218,9 +219,9 @@ fn recovery_disabled_terminates_with_structured_status() {
     let (a, p, grid) = poisson_setup();
     let mut cfg = SimConfig::azul(grid);
     cfg.faults = Some(acceptance_plan());
-    let sim = PcgSim::build(&a, &p, &cfg).unwrap();
+    let sim = SimSolver::build(&a, &p, &cfg).unwrap();
     let b = rhs(a.rows());
-    let run_cfg = PcgSimConfig {
+    let run_cfg = SimSolverConfig {
         timed_iterations: 0,
         recovery: RecoveryPolicy::disabled(),
         ..Default::default()
@@ -296,8 +297,8 @@ fn pcg_flip_before_first_checkpoint_rolls_back_to_start() {
     let (a, p, grid) = poisson_setup();
     let mut cfg = SimConfig::azul(grid);
     cfg.faults = Some(early_flip_plan());
-    let sim = PcgSim::build(&a, &p, &cfg).unwrap();
-    let run_cfg = PcgSimConfig {
+    let sim = SimSolver::build(&a, &p, &cfg).unwrap();
+    let run_cfg = SimSolverConfig {
         timed_iterations: 0,
         integrity: IntegrityPolicy::audit(),
         ..Default::default()
@@ -322,8 +323,9 @@ fn bicgstab_flip_before_first_checkpoint_rolls_back_to_start() {
     let (a, p, grid) = poisson_setup();
     let mut cfg = SimConfig::azul(grid);
     cfg.faults = Some(early_flip_plan());
-    let sim = BiCgStabSim::build(&a, &p, &cfg).unwrap();
-    let run_cfg = BiCgStabSimConfig {
+    let sim = SimSolver::build(&a, &p, &cfg).unwrap();
+    let run_cfg = SimSolverConfig {
+        method: Method::BiCgStab,
         timed_iterations: 0,
         integrity: IntegrityPolicy::audit(),
         ..Default::default()
@@ -348,8 +350,9 @@ fn gmres_flip_before_first_checkpoint_rolls_back_to_start() {
     let (a, p, grid) = poisson_setup();
     let mut cfg = SimConfig::azul(grid);
     cfg.faults = Some(early_flip_plan());
-    let sim = GmresSim::build(&a, &p, &cfg).unwrap();
-    let run_cfg = GmresSimConfig {
+    let sim = SimSolver::build(&a, &p, &cfg).unwrap();
+    let run_cfg = SimSolverConfig {
+        method: Method::Gmres { restart: 30 },
         timed_iterations: 0,
         integrity: IntegrityPolicy::audit(),
         ..Default::default()
@@ -375,7 +378,7 @@ fn gmres_flip_before_first_checkpoint_rolls_back_to_start() {
 fn seeded_plans_reproduce_end_to_end() {
     let (a, p, grid) = poisson_setup();
     let b = rhs(a.rows());
-    let run_cfg = PcgSimConfig {
+    let run_cfg = SimSolverConfig {
         timed_iterations: 0,
         ..Default::default()
     };
@@ -383,7 +386,7 @@ fn seeded_plans_reproduce_end_to_end() {
     for _ in 0..2 {
         let mut cfg = SimConfig::azul(grid);
         cfg.faults = Some(FaultPlan::seeded(7, grid.num_tiles(), 4, 20_000));
-        let sim = PcgSim::build(&a, &p, &cfg).unwrap();
+        let sim = SimSolver::build(&a, &p, &cfg).unwrap();
         runs.push(
             sim.try_run(&b, &run_cfg)
                 .expect("seeded windows are finite"),
@@ -481,7 +484,7 @@ mod integrity_soak {
     use azul::mapping::TileGrid;
     use azul::sim::config::SimConfig;
     use azul::sim::faults::{FaultEvent, FaultKind, FaultPlan, IntegrityPolicy};
-    use azul::sim::pcg::{PcgSim, PcgSimConfig};
+    use azul::sim::{SimSolver, SimSolverConfig};
     use azul::sparse::{dense, generate};
     use proptest::prelude::*;
 
@@ -510,12 +513,12 @@ mod integrity_soak {
                 at_cycle,
                 kind: FaultKind::SramBitFlip { tile, slot, bit },
             }]));
-            let run_cfg = PcgSimConfig {
+            let run_cfg = SimSolverConfig {
                 timed_iterations: 0,
                 integrity: IntegrityPolicy::audit(),
                 ..Default::default()
             };
-            let sim = PcgSim::build(&a, &p, &cfg).expect("build");
+            let sim = SimSolver::build(&a, &p, &cfg).expect("build");
             // A loud, typed failure is a detection, not an escape —
             // only an Ok report can carry a silent wrong answer.
             if let Ok(report) = sim.try_run(&b, &run_cfg) {

@@ -5,10 +5,8 @@
 
 use azul::mapping::strategies::{AzulMapper, Mapper};
 use azul::mapping::TileGrid;
-use azul::sim::bicgstab::{BiCgStabSim, BiCgStabSimConfig};
 use azul::sim::config::SimConfig;
-use azul::sim::gmres::{GmresSim, GmresSimConfig};
-use azul::sim::pcg::{PcgSim, PcgSimConfig};
+use azul::sim::{Method, SimSolver, SimSolverConfig};
 use azul::solver::direct::dense_solve;
 use azul::solver::precond::{Identity, IncompleteCholesky, Jacobi, SymmetricGaussSeidel};
 use azul::solver::{bicgstab, cg, gmres, pcg, BiCgStabConfig, GmresConfig, PcgConfig};
@@ -67,35 +65,51 @@ fn every_simulated_solver_matches_dense_cholesky() {
     let cfg = SimConfig::azul(grid);
     let tol = 1e-5;
 
-    let out = PcgSim::build(&a, &placement, &cfg)
+    let out = SimSolver::build(&a, &placement, &cfg)
         .unwrap()
-        .run(&b, &PcgSimConfig::default());
+        .try_run(&b, &SimSolverConfig::default())
+        .unwrap();
     assert!(
         out.converged && dense::rel_l2_diff(&out.x, &exact) < tol,
-        "PcgSim"
+        "simulated PCG"
     );
 
-    let out =
-        PcgSim::build_unpreconditioned(&a, &placement, &cfg).run(&b, &PcgSimConfig::default());
+    let out = SimSolver::build_unpreconditioned(&a, &placement, &cfg)
+        .try_run(&b, &SimSolverConfig::default())
+        .unwrap();
     assert!(
         out.converged && dense::rel_l2_diff(&out.x, &exact) < tol,
         "CG sim"
     );
 
-    let out = BiCgStabSim::build(&a, &placement, &cfg)
+    let out = SimSolver::build(&a, &placement, &cfg)
         .unwrap()
-        .run(&b, &BiCgStabSimConfig::default());
+        .try_run(
+            &b,
+            &SimSolverConfig {
+                method: Method::BiCgStab,
+                ..Default::default()
+            },
+        )
+        .unwrap();
     assert!(
         out.converged && dense::rel_l2_diff(&out.x, &exact) < tol,
-        "BiCgStabSim"
+        "simulated BiCGStab"
     );
 
-    let out = GmresSim::build(&a, &placement, &cfg)
+    let out = SimSolver::build(&a, &placement, &cfg)
         .unwrap()
-        .run(&b, &GmresSimConfig::default());
+        .try_run(
+            &b,
+            &SimSolverConfig {
+                method: Method::Gmres { restart: 30 },
+                ..Default::default()
+            },
+        )
+        .unwrap();
     assert!(
         out.converged && dense::rel_l2_diff(&out.x, &exact) < tol,
-        "GmresSim"
+        "simulated GMRES"
     );
 }
 
@@ -139,9 +153,16 @@ fn simulated_bicgstab_tracks_reference_iterations() {
     let b = rhs(a.rows());
     let grid = TileGrid::new(2, 2);
     let placement = AzulMapper::fast_default().map(&a, grid);
-    let sim = BiCgStabSim::build(&a, &placement, &SimConfig::azul(grid))
+    let sim = SimSolver::build(&a, &placement, &SimConfig::azul(grid))
         .unwrap()
-        .run(&b, &BiCgStabSimConfig::default());
+        .try_run(
+            &b,
+            &SimSolverConfig {
+                method: Method::BiCgStab,
+                ..Default::default()
+            },
+        )
+        .unwrap();
     // Reference BiCGStab preconditioned the same way (IC(0) via factor).
     let m = IncompleteCholesky::new(&a).unwrap();
     let reference = bicgstab(&a, &b, &m, &BiCgStabConfig::default());
