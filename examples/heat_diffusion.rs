@@ -52,7 +52,7 @@ fn main() -> Result<(), azul::AzulError> {
     let mut total_accel_s = 0.0;
     let mut total_iters = 0;
     for step in 0..steps {
-        let report = prepared.solve(&u);
+        let report = prepared.try_solve(&u)?;
         assert!(report.converged, "step {step} diverged");
         u = report.x;
         total_accel_s += report.accelerator_seconds;

@@ -33,7 +33,7 @@ fn main() -> Result<(), azul::AzulError> {
     );
 
     // Solve.
-    let report = prepared.solve(&b);
+    let report = prepared.try_solve(&b)?;
     println!(
         "converged={} in {} iterations (residual {:.2e})",
         report.converged, report.iterations, report.final_residual

@@ -73,7 +73,7 @@ fn main() -> Result<(), azul::AzulError> {
     );
 
     for step in 0..6 {
-        let report = prepared.solve(&force);
+        let report = prepared.try_solve(&force)?;
         assert!(report.converged, "step {step} diverged");
         // Residual check against the *current* A.
         let residual = dense::norm2(&dense::sub(&force, &a.spmv(&report.x)));

@@ -167,7 +167,13 @@ fn cmd_solve(opts: &HashMap<String, String>) -> ExitCode {
         prep.mapping_seconds,
         prep.nnz_imbalance
     );
-    let report = prepared.solve(&b);
+    let report = match prepared.try_solve(&b) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("solve failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     println!(
         "{} in {} iterations; residual {:.2e}",
         if report.converged {
